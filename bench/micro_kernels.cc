@@ -111,6 +111,37 @@ void BM_QCriterionNorm(benchmark::State& state) {
 }
 BENCHMARK(BM_QCriterionNorm)->Arg(4);
 
+/// NormLine over whole 48-point x-rows of the fixture, cycling through
+/// the rows; items are points, so the rate compares with RunKernelBench.
+template <typename Kernel>
+void RunKernelLineBench(benchmark::State& state, int order) {
+  KernelFixture& fixture = Fixture();
+  auto diff = Differentiator::Create(fixture.geometry, order);
+  Kernel kernel;
+  const int64_t n = fixture.geometry.nx();
+  std::vector<double> norms(static_cast<size_t>(n));
+  int64_t row = 0;
+  for (auto _ : state) {
+    kernel.NormLine(fixture.slab, *diff, 0, n, row % n, (row / n) % n,
+                    norms.data());
+    benchmark::DoNotOptimize(norms.data());
+    benchmark::ClobberMemory();
+    ++row;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_VorticityNormLine(benchmark::State& state) {
+  RunKernelLineBench<CurlField>(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_VorticityNormLine)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_QCriterionNormLine(benchmark::State& state) {
+  RunKernelLineBench<QCriterionField>(state,
+                                      static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_QCriterionNormLine)->Arg(4);
+
 void BM_MagnitudeNorm(benchmark::State& state) {
   RunKernelBench<MagnitudeField>(state, 4);
 }

@@ -22,6 +22,14 @@ struct ThresholdPoint {
   }
 };
 
+/// The threshold predicate of every path — the fresh evaluate loop and
+/// both caches. It tests the norm as stored and sent (a float) so that a
+/// cached answer filtered at k equals a fresh evaluation at k, and the
+/// subsumption rule (k >= cached k => filter the cached set) is sound.
+inline bool MeetsThreshold(float stored_norm, double k) {
+  return static_cast<double>(stored_norm) >= k;
+}
+
 /// Builds the result row for grid point (x, y, z).
 inline ThresholdPoint MakeThresholdPoint(uint32_t x, uint32_t y, uint32_t z,
                                          float norm) {

@@ -46,6 +46,19 @@ class Slab {
 
   const std::vector<float>& data() const { return data_; }
 
+  /// Address of component c at (x, y, z), for line kernels that walk the
+  /// buffer with Stride(). Same precondition as At().
+  const float* Ptr(int64_t x, int64_t y, int64_t z, int c) const {
+    return data_.data() + Index(x, y, z, c);
+  }
+
+  /// Distance in floats between neighboring points along `axis`.
+  int64_t Stride(int axis) const {
+    int64_t stride = ncomp_;
+    for (int d = 0; d < axis; ++d) stride *= region_.Extent(d);
+    return stride;
+  }
+
  private:
   size_t Index(int64_t x, int64_t y, int64_t z, int c) const {
     const int64_t i = x - region_.lo[0];

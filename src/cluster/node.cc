@@ -738,9 +738,12 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
   if (query.options.io_only) return out;
 
   // ---- Evaluate phase ------------------------------------------------
+  // The kernel fills one x-run of an atom's interest box at a time, and
+  // the mode is applied over that buffer.
   std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
                       TopKHeapCompare>
       topk;
+  std::vector<double> norms(static_cast<size_t>(w));
   uint64_t evaluated = 0;
   for (uint64_t code : chunk_atoms) {
     out.status = CheckInterrupts(query);
@@ -751,51 +754,61 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
                         (az + 1) * w);
     const Box3 interest = atom_box.Intersection(query.box);
     if (interest.Empty()) continue;
+    const int64_t x0 = interest.lo[0];
+    const int64_t run = interest.Extent(0);
     for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
       for (int64_t y = interest.lo[1]; y < interest.hi[1]; ++y) {
-        for (int64_t x = interest.lo[0]; x < interest.hi[0]; ++x) {
-          const double norm =
-              query.kernel->NormAt(slab, *query.diff, x, y, z);
-          ++evaluated;
-          switch (query.mode) {
-            case NodeQuery::Mode::kThreshold:
-              if (norm >= query.threshold) {
-                out.points.push_back(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
-                if (out.points.size() > query.options.max_result_points) {
-                  // The global cap is already exceeded by this node
-                  // alone; computing further is pointless.
-                  out.status = Status::ThresholdTooLow(
-                      "threshold too low: result exceeds the point cap");
-                  return out;
-                }
+        query.kernel->NormLine(slab, *query.diff, x0, run, y, z,
+                               norms.data());
+        evaluated += static_cast<uint64_t>(run);
+        const auto point = [&](int64_t i, float norm) {
+          return MakeThresholdPoint(static_cast<uint32_t>(x0 + i),
+                                    static_cast<uint32_t>(y),
+                                    static_cast<uint32_t>(z), norm);
+        };
+        switch (query.mode) {
+          case NodeQuery::Mode::kThreshold:
+            for (int64_t i = 0; i < run; ++i) {
+              const float stored = static_cast<float>(norms[i]);
+              if (!MeetsThreshold(stored, query.threshold)) continue;
+              out.points.push_back(point(i, stored));
+              if (out.points.size() > query.options.max_result_points) {
+                // The global cap is already exceeded by this node
+                // alone; computing further is pointless.
+                out.status = Status::ThresholdTooLow(
+                    "threshold too low: result exceeds the point cap");
+                return out;
               }
-              break;
-            case NodeQuery::Mode::kPdf: {
-              int bin = static_cast<int>(norm / query.bin_width);
-              bin = std::min(bin, query.num_bins);
-              ++out.histogram[static_cast<size_t>(bin)];
-              break;
             }
-            case NodeQuery::Mode::kMoments:
-              out.norm_sum += norm;
-              out.norm_sum_sq += norm * norm;
-              out.norm_max = std::max(out.norm_max, norm);
-              break;
-            case NodeQuery::Mode::kTopK:
+            break;
+          case NodeQuery::Mode::kPdf:
+            for (int64_t i = 0; i < run; ++i) {
+              // Clamped in double: with a tiny bin width the quotient
+              // does not fit in an int.
+              const double scaled = norms[i] / query.bin_width;
+              const int bin = scaled < query.num_bins
+                                  ? static_cast<int>(scaled)
+                                  : query.num_bins;
+              ++out.histogram[static_cast<size_t>(bin)];
+            }
+            break;
+          case NodeQuery::Mode::kMoments:
+            for (int64_t i = 0; i < run; ++i) {
+              out.norm_sum += norms[i];
+              out.norm_sum_sq += norms[i] * norms[i];
+              out.norm_max = std::max(out.norm_max, norms[i]);
+            }
+            break;
+          case NodeQuery::Mode::kTopK:
+            for (int64_t i = 0; i < run; ++i) {
               if (topk.size() < query.k) {
-                topk.push(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
-              } else if (norm > topk.top().norm) {
+                topk.push(point(i, static_cast<float>(norms[i])));
+              } else if (norms[i] > topk.top().norm) {
                 topk.pop();
-                topk.push(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
+                topk.push(point(i, static_cast<float>(norms[i])));
               }
-              break;
-          }
+            }
+            break;
         }
       }
     }

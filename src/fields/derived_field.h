@@ -44,15 +44,18 @@ class DerivedField {
 
   /// The scalar compared against the query threshold: the L2 norm of the
   /// output vector (reduces to the absolute value for scalar fields).
+  /// Defined with the kernels, so that one set of compile flags governs
+  /// all norm arithmetic (see NormLine()).
   double NormAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                int64_t y, int64_t z) const {
-    double out[9];
-    EvaluateAt(slab, diff, x, y, z, out);
-    double sum = 0.0;
-    const int n = output_ncomp();
-    for (int c = 0; c < n; ++c) sum += out[c] * out[c];
-    return std::sqrt(sum);
-  }
+                int64_t y, int64_t z) const;
+
+  /// NormAt() at the n nodes (x0 .. x0+n-1, y, z) of one x-line, written
+  /// to norms[0 .. n) bit for bit. The default loops over NormAt(), so
+  /// every kernel works unchanged; hot kernels override it to resolve
+  /// strides and stencil weights once per line instead of once per point.
+  virtual void NormLine(const Slab& slab, const Differentiator& diff,
+                        int64_t x0, int64_t n, int64_t y, int64_t z,
+                        double* norms) const;
 };
 
 /// Norm of the raw stored field itself (e.g. thresholding the magnetic
@@ -69,14 +72,36 @@ class MagnitudeField : public DerivedField {
   double FlopsPerPoint(int) const override { return 2.0 * ncomp_; }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
+  void NormLine(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z,
+                double* norms) const override;
 
  private:
   int ncomp_;
 };
 
+/// Base of the kernels that are a pointwise function of the first
+/// partials A_ij = du_i/dx_j of a 3-component field. `Kernel` supplies
+/// kOutputs, kGradientMask (bit 3*i+j set for every A_ij it reads) and
+/// `static void FromGradient(const double* a, double* out)`, which fills
+/// out[0 .. kOutputs) from a[3*i+j]. EvaluateAt() and NormLine() both
+/// finish through FromGradient(), so per-point and per-line norms agree.
+template <typename Kernel>
+class GradientField : public DerivedField {
+ public:
+  int input_ncomp() const override { return 3; }
+  int output_ncomp() const override { return Kernel::kOutputs; }
+  int HaloWidth(int fd_order) const override { return fd_order / 2; }
+  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
+                  int64_t y, int64_t z, double* out) const override;
+  void NormLine(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z,
+                double* norms) const override;
+};
+
 /// Curl of a 3-component field: the vorticity when applied to velocity,
 /// the electric current when applied to the magnetic field (Eq. 1).
-class CurlField : public DerivedField {
+class CurlField : public GradientField<CurlField> {
  public:
   /// `name` distinguishes the physical quantity ("vorticity", "current")
   /// in cache keys while sharing the kernel implementation.
@@ -84,64 +109,60 @@ class CurlField : public DerivedField {
       : name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
-  int input_ncomp() const override { return 3; }
-  int output_ncomp() const override { return 3; }
-  int HaloWidth(int fd_order) const override { return fd_order / 2; }
   double FlopsPerPoint(int fd_order) const override {
     // 6 first derivatives, each a (fd_order+1)-point dot product,
     // + 3 subtractions.
     return 6.0 * 2.0 * (fd_order + 1) + 3.0;
   }
-  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                  int64_t y, int64_t z, double* out) const override;
+
+  static constexpr int kOutputs = 3;
+  static constexpr unsigned kGradientMask = 0x0EE;  ///< The off-diagonal.
+  static void FromGradient(const double* a, double* out);
 
  private:
   std::string name_;
 };
 
 /// The full velocity-gradient tensor A_ij = du_i/dx_j (9 components).
-class VelocityGradientField : public DerivedField {
+class VelocityGradientField : public GradientField<VelocityGradientField> {
  public:
   std::string name() const override { return "velocity_gradient"; }
-  int input_ncomp() const override { return 3; }
-  int output_ncomp() const override { return 9; }
-  int HaloWidth(int fd_order) const override { return fd_order / 2; }
   double FlopsPerPoint(int fd_order) const override {
     return 9.0 * 2.0 * (fd_order + 1);
   }
-  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                  int64_t y, int64_t z, double* out) const override;
+
+  static constexpr int kOutputs = 9;
+  static constexpr unsigned kGradientMask = 0x1FF;
+  static void FromGradient(const double* a, double* out);
 };
 
 /// Second invariant of the velocity gradient:
 /// Q = (||Omega||^2 - ||S||^2) / 2, with S and Omega the symmetric and
 /// antisymmetric parts of A. A non-linear combination of all nine
 /// gradient components, hence costlier than the curl (Sec. 5.4).
-class QCriterionField : public DerivedField {
+class QCriterionField : public GradientField<QCriterionField> {
  public:
   std::string name() const override { return "q_criterion"; }
-  int input_ncomp() const override { return 3; }
-  int output_ncomp() const override { return 1; }
-  int HaloWidth(int fd_order) const override { return fd_order / 2; }
   double FlopsPerPoint(int fd_order) const override {
     return 9.0 * 2.0 * (fd_order + 1) + 40.0;
   }
-  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                  int64_t y, int64_t z, double* out) const override;
+
+  static constexpr int kOutputs = 1;
+  static constexpr unsigned kGradientMask = 0x1FF;
+  static void FromGradient(const double* a, double* out);
 };
 
 /// Third invariant of the velocity gradient: R = -det(A).
-class RInvariantField : public DerivedField {
+class RInvariantField : public GradientField<RInvariantField> {
  public:
   std::string name() const override { return "r_invariant"; }
-  int input_ncomp() const override { return 3; }
-  int output_ncomp() const override { return 1; }
-  int HaloWidth(int fd_order) const override { return fd_order / 2; }
   double FlopsPerPoint(int fd_order) const override {
     return 9.0 * 2.0 * (fd_order + 1) + 60.0;
   }
-  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                  int64_t y, int64_t z, double* out) const override;
+
+  static constexpr int kOutputs = 1;
+  static constexpr unsigned kGradientMask = 0x1FF;
+  static void FromGradient(const double* a, double* out);
 };
 
 /// Top-hat (box) spatial filter of the raw field: the mean over the
@@ -174,17 +195,16 @@ class BoxFilterField : public DerivedField {
 
 /// Divergence of a 3-component field. Physically ~0 for incompressible
 /// velocity; provided as a numerical-consistency diagnostic.
-class DivergenceField : public DerivedField {
+class DivergenceField : public GradientField<DivergenceField> {
  public:
   std::string name() const override { return "divergence"; }
-  int input_ncomp() const override { return 3; }
-  int output_ncomp() const override { return 1; }
-  int HaloWidth(int fd_order) const override { return fd_order / 2; }
   double FlopsPerPoint(int fd_order) const override {
     return 3.0 * 2.0 * (fd_order + 1) + 2.0;
   }
-  void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
-                  int64_t y, int64_t z, double* out) const override;
+
+  static constexpr int kOutputs = 1;
+  static constexpr unsigned kGradientMask = 0x111;  ///< The diagonal.
+  static void FromGradient(const double* a, double* out);
 };
 
 }  // namespace turbdb

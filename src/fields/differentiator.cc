@@ -38,6 +38,11 @@ void Differentiator::BuildAxis(int axis) {
     TURBDB_CHECK(coeffs.ok());
     centered_weights_[axis] = std::move(coeffs).value();
     for (double& w : centered_weights_[axis]) w /= dx;
+    // Partial() and Apply() skip the middle node by position.
+    for (int m = 0; m < width_; ++m) {
+      TURBDB_CHECK((centered_weights_[axis][static_cast<size_t>(m)] == 0.0) ==
+                   (m == half_width_));
+    }
     return;
   }
   // Wall-bounded (and possibly stretched) axis: one stencil row per node,
@@ -62,26 +67,32 @@ void Differentiator::BuildAxis(int axis) {
   }
 }
 
+Differentiator::Stencil Differentiator::StencilAt(const Slab& slab,
+                                                  int axis, int64_t x,
+                                                  int64_t y, int64_t z) const {
+  Stencil stencil;
+  stencil.stride = slab.Stride(axis);
+  if (uniform_centered_[axis]) {
+    stencil.weight = centered_weights_[axis].data();
+    stencil.first = -half_width_ * stencil.stride;
+    return stencil;
+  }
+  const int64_t coord = axis == 0 ? x : (axis == 1 ? y : z);
+  const Row& row = rows_[axis][static_cast<size_t>(coord)];
+  stencil.weight = weight_pool_[axis].data() + row.pool_offset;
+  stencil.first = (row.start - coord) * stencil.stride;
+  stencil.centered = false;
+  return stencil;
+}
+
 double Differentiator::Partial(const Slab& slab, int c, int axis, int64_t x,
                                int64_t y, int64_t z) const {
-  int64_t coords[3] = {x, y, z};
+  const Stencil stencil = StencilAt(slab, axis, x, y, z);
+  const float* p = slab.Ptr(x, y, z, c);
   double sum = 0.0;
-  if (uniform_centered_[axis]) {
-    const std::vector<double>& weights = centered_weights_[axis];
-    const int64_t base = coords[axis] - half_width_;
-    for (int m = 0; m < width_; ++m) {
-      if (weights[static_cast<size_t>(m)] == 0.0) continue;
-      coords[axis] = base + m;
-      sum += weights[static_cast<size_t>(m)] *
-             slab.At(coords[0], coords[1], coords[2], c);
-    }
-    return sum;
-  }
-  const Row& row = rows_[axis][static_cast<size_t>(coords[axis])];
-  const double* weights = weight_pool_[axis].data() + row.pool_offset;
   for (int m = 0; m < width_; ++m) {
-    coords[axis] = row.start + m;
-    sum += weights[m] * slab.At(coords[0], coords[1], coords[2], c);
+    if (stencil.centered && m == half_width_) continue;
+    sum += stencil.weight[m] * p[stencil.first + m * stencil.stride];
   }
   return sum;
 }

@@ -22,7 +22,8 @@ namespace turbdb {
 ///    computed from the physical node coordinates.
 ///
 /// All weight tables are precomputed at construction, so Partial() on the
-/// hot path is a small dot product.
+/// hot path is a small dot product; line kernels resolve a Stencil once
+/// per line and Apply() it at every node.
 class Differentiator {
  public:
   /// Fails if `order` is unsupported or the geometry is invalid.
@@ -37,6 +38,42 @@ class Differentiator {
   /// the full stencil support for that node.
   double Partial(const Slab& slab, int c, int axis, int64_t x, int64_t y,
                  int64_t z) const;
+
+  /// The first-derivative stencil along one axis at one node, resolved
+  /// against a slab's layout. With p pointing at the node's value of some
+  /// component, the partial is the sum of weight[m] * p[first + m * stride]
+  /// over m = 0 .. order(), in ascending m, from 0.0. A centered stencil
+  /// skips its middle node, whose weight is 0.
+  struct Stencil {
+    const double* weight = nullptr;
+    int64_t first = 0;   ///< Offset in floats of node m = 0 from p.
+    int64_t stride = 0;  ///< Floats between consecutive stencil nodes.
+    bool centered = true;
+  };
+
+  /// The stencil along `axis` at node (x, y, z) of `slab`. It is the same
+  /// for every node of an x-line, except along a walled x axis, where the
+  /// stencils near the walls are shifted (see StencilVariesAlongX()).
+  Stencil StencilAt(const Slab& slab, int axis, int64_t x, int64_t y,
+                    int64_t z) const;
+
+  /// True when StencilAt() varies along an x-line (a walled x axis).
+  bool StencilVariesAlongX() const { return !uniform_centered_[0]; }
+
+  /// Partial()'s sum for `stencil` at p, with the stencil width fixed at
+  /// compile time (kOrder must equal order()) so that the taps unroll.
+  /// Line kernels call it for every partial of a node while the stencils,
+  /// resolved once per line, stay in registers.
+  template <int kOrder>
+  static double Apply(const Stencil& stencil, const float* p) {
+    double sum = 0.0;
+#pragma GCC unroll 9
+    for (int m = 0; m <= kOrder; ++m) {
+      if (stencil.centered && m == kOrder / 2) continue;
+      sum += stencil.weight[m] * p[stencil.first + m * stencil.stride];
+    }
+    return sum;
+  }
 
  private:
   Differentiator() = default;

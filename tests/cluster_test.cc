@@ -264,6 +264,26 @@ TEST(ClusterTest, PdfOverSubBoxCountsOnlyThatBox) {
             static_cast<uint64_t>(query.box.Volume()));
 }
 
+TEST(ClusterTest, PdfWithTinyBinWidthLandsInOverflowBin) {
+  // norm / bin_width far exceeds INT_MAX; the bin must clamp in double
+  // before the integer conversion (the sanitizer build checks it).
+  auto db = MakeTestDb(kN, 2, 2, 1);
+  ASSERT_NE(db, nullptr);
+  PdfQuery query;
+  query.dataset = "iso";
+  query.raw_field = "velocity";
+  query.derived_field = "vorticity";
+  query.timestep = 0;
+  query.box = Box3(0, 0, 0, 16, 16, 16);
+  query.bin_width = 1e-300;
+  query.num_bins = 4;
+  auto pdf = db->Pdf(query);
+  ASSERT_TRUE(pdf.ok()) << pdf.status();
+  ASSERT_EQ(pdf->counts.size(), 5u);
+  EXPECT_EQ(pdf->total_points, static_cast<uint64_t>(query.box.Volume()));
+  EXPECT_EQ(pdf->counts[4], pdf->total_points);
+}
+
 TEST(ClusterTest, WallTimeIsMeasured) {
   auto db = MakeTestDb(kN, 2, 2, 1);
   ASSERT_NE(db, nullptr);

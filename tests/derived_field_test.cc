@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/rng.h"
 #include "fields/field_registry.h"
 
 namespace turbdb {
@@ -195,6 +199,83 @@ TEST_F(DerivedFieldTest, BoxFilterAveragesAndPreservesConstants) {
   double out[1];
   scalar_filter.EvaluateAt(constant, diff_, 7, 8, 9, out);
   EXPECT_NEAR(out[0], 3.5, 1e-6);
+}
+
+/// A slab over the whole grid plus `halo` filled with seeded noise (wrapped
+/// images along periodic axes). Noise, unlike a smooth field, makes every
+/// bit of every stencil product matter.
+Slab NoiseSlab(const GridGeometry& geometry, int halo) {
+  const Box3 region = geometry.Bounds().Grown(halo);
+  Slab slab(region, 3);
+  for (int64_t z = region.lo[2]; z < region.hi[2]; ++z) {
+    for (int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
+      for (int64_t x = region.lo[0]; x < region.hi[0]; ++x) {
+        const int64_t coords[3] = {x, y, z};
+        uint64_t key = 0;
+        for (int d = 0; d < 3; ++d) {
+          const int64_t c = geometry.periodic(d)
+                                ? geometry.WrapIndex(d, coords[d])
+                                : coords[d];
+          key = key * 1000003 + static_cast<uint64_t>(c + halo);
+        }
+        SplitMix64 rng(key);
+        for (int c = 0; c < 3; ++c) {
+          slab.At(x, y, z, c) = static_cast<float>(rng.NextDouble(-3.0, 3.0));
+        }
+      }
+    }
+  }
+  return slab;
+}
+
+/// NormLine() must equal NormAt() bit for bit, for every kernel: the node
+/// evaluates lines, the brute-force oracle evaluates points, and their
+/// answers are compared byte for byte. The walled-x grid covers stencils
+/// that shift along the line.
+TEST(NormLineTest, BitIdenticalToNormAt) {
+  const GridGeometry walled_x = GridGeometry::FromParts(
+      {24, 16, 16}, {3.0, 2.0, 2.0}, {false, true, false}, 8, {});
+  ASSERT_TRUE(walled_x.Validate().ok());
+  const FieldRegistry registry = FieldRegistry::Default();
+  for (const GridGeometry& geometry :
+       {GridGeometry::Isotropic(32), GridGeometry::Channel(32, 24, 16),
+        walled_x}) {
+    const Slab slab = NoiseSlab(geometry, 4);
+    const int64_t nx = geometry.nx();
+    const int64_t ny = geometry.ny();
+    const int64_t nz = geometry.nz();
+    for (int order : {2, 4, 6, 8}) {
+      auto diff = Differentiator::Create(geometry, order);
+      ASSERT_TRUE(diff.ok()) << diff.status();
+      for (const std::string& name : registry.Names()) {
+        auto kernel = registry.Create(name, 3);
+        ASSERT_TRUE(kernel.ok()) << name;
+        for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, nx}) {
+          for (int64_t start : {int64_t{0}, nx / 2 - 3,
+                                nx - geometry.atom_width()}) {
+            const int64_t x0 = std::min(start, nx - n);
+            for (int64_t y : {int64_t{0}, int64_t{1}, ny / 2, ny - 1}) {
+              for (int64_t z : {int64_t{0}, nz / 2 + 1, nz - 1}) {
+                std::vector<double> line(static_cast<size_t>(n));
+                (*kernel)->NormLine(slab, *diff, x0, n, y, z, line.data());
+                std::vector<double> points(static_cast<size_t>(n));
+                for (int64_t i = 0; i < n; ++i) {
+                  points[static_cast<size_t>(i)] =
+                      (*kernel)->NormAt(slab, *diff, x0 + i, y, z);
+                }
+                ASSERT_EQ(std::memcmp(line.data(), points.data(),
+                                      line.size() * sizeof(double)),
+                          0)
+                    << name << " order " << order << " extents " << nx
+                    << "x" << ny << "x" << nz << " line x0=" << x0
+                    << " n=" << n << " y=" << y << " z=" << z;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(FieldRegistryTest, DefaultFieldsResolve) {

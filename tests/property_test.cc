@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -163,6 +165,44 @@ TEST_P(CacheEquivalence, RandomQuerySequenceMatchesUncached) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheEquivalence, ::testing::Range(1, 5));
+
+/// Thresholds one double ulp above a stored (float) norm f: the fresh path
+/// and the node cache must agree on dropping the point that carries f.
+/// Random thresholds almost never land within a float half-ulp of a norm,
+/// so CacheEquivalence cannot catch a predicate that differs between them.
+TEST(CachePredicateTest, ThresholdsJustAboveStoredNormsMatchUncached) {
+  auto db = MakeTestDb(kN, 2, 2, 1);
+  ASSERT_NE(db, nullptr);
+  ThresholdQuery query;
+  query.dataset = "iso";
+  query.raw_field = "velocity";
+  query.derived_field = "vorticity";
+  query.timestep = 0;
+  query.box = Box3::WholeGrid(kN, kN, kN);
+  query.threshold = 0.0;
+  auto warm = db->Threshold(query);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_EQ(warm->points.size(), static_cast<size_t>(kN * kN * kN));
+
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+  SplitMix64 rng(2015);
+  for (int probe = 0; probe < 200; ++probe) {
+    const float stored =
+        warm->points[rng.NextBounded(warm->points.size())].norm;
+    query.threshold = std::nextafter(static_cast<double>(stored),
+                                     std::numeric_limits<double>::infinity());
+    auto cached = db->Threshold(query);
+    auto fresh = db->Threshold(query, no_cache);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    ASSERT_TRUE(cached->all_cache_hits) << "probe " << probe;
+    ASSERT_EQ(cached->points.size(), fresh->points.size())
+        << "probe " << probe << " threshold " << query.threshold;
+    ASSERT_TRUE(cached->points == fresh->points)
+        << "probe " << probe << " threshold " << query.threshold;
+  }
+}
 
 }  // namespace
 }  // namespace turbdb

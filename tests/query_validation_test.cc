@@ -60,6 +60,8 @@ TEST(ValidationTest, PdfQueryChecks) {
   query.derived_field = "vorticity";
   query.box = Box3(0, 0, 0, 8, 8, 8);
   EXPECT_TRUE(ValidatePdfQuery(query).ok());
+  query.bin_width = 1e-300;  // Legal: the node clamps to the overflow bin.
+  EXPECT_TRUE(ValidatePdfQuery(query).ok());
   query.bin_width = 0.0;
   EXPECT_FALSE(ValidatePdfQuery(query).ok());
   query.bin_width = 1.0;
