@@ -142,6 +142,69 @@ void BM_QCriterionNormLine(benchmark::State& state) {
 }
 BENCHMARK(BM_QCriterionNormLine)->Arg(4);
 
+/// The slab one node chunk gathers on a whole-step 128^3 query over
+/// 4 nodes x 4 processes: 8x8x4 atoms plus a one-atom halo ring, i.e.
+/// 80x80x48 points, filled from the wrapped grid.
+struct ChunkFixture {
+  ChunkFixture()
+      : geometry(GridGeometry::Isotropic(128)),
+        slab(Box3(-8, -8, -8, 72, 72, 40), 3) {
+    TurbulenceSpec spec;
+    spec.num_modes = 24;
+    spec.num_tubes = 8;
+    SyntheticField field(spec, geometry, 3);
+    const Box3& region = slab.region();
+    double value[3];
+    for (int64_t z = region.lo[2]; z < region.hi[2]; ++z) {
+      for (int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
+        for (int64_t x = region.lo[0]; x < region.hi[0]; ++x) {
+          field.EvaluateAtNode(0, geometry.WrapIndex(0, x),
+                               geometry.WrapIndex(1, y),
+                               geometry.WrapIndex(2, z), value);
+          for (int c = 0; c < 3; ++c) {
+            slab.At(x, y, z, c) = static_cast<float>(value[c]);
+          }
+        }
+      }
+    }
+  }
+  GridGeometry geometry;
+  Slab slab;
+};
+
+/// NormLine (FD order 4) sweeping the chunk's 64x64x32 interior in lines
+/// of state.range(0) points: 8 is one atom's row, 64 the chunk's merged
+/// x-run the node evaluates. Items are points.
+template <typename Kernel>
+void RunChunkLineBench(benchmark::State& state) {
+  static ChunkFixture fixture;
+  auto diff = Differentiator::Create(fixture.geometry, 4);
+  Kernel kernel;
+  const int64_t line = state.range(0);
+  const int64_t lines_per_row = 64 / line;
+  std::vector<double> norms(static_cast<size_t>(line));
+  int64_t step = 0;
+  for (auto _ : state) {
+    const int64_t row = step / lines_per_row;
+    kernel.NormLine(fixture.slab, *diff, (step % lines_per_row) * line, line,
+                    row % 64, (row / 64) % 32, norms.data());
+    benchmark::DoNotOptimize(norms.data());
+    benchmark::ClobberMemory();
+    ++step;
+  }
+  state.SetItemsProcessed(state.iterations() * line);
+}
+
+void BM_VorticityNormLineChunk(benchmark::State& state) {
+  RunChunkLineBench<CurlField>(state);
+}
+BENCHMARK(BM_VorticityNormLineChunk)->Arg(8)->Arg(64);
+
+void BM_QCriterionNormLineChunk(benchmark::State& state) {
+  RunChunkLineBench<QCriterionField>(state);
+}
+BENCHMARK(BM_QCriterionNormLineChunk)->Arg(8)->Arg(64);
+
 void BM_MagnitudeNorm(benchmark::State& state) {
   RunKernelBench<MagnitudeField>(state, 4);
 }

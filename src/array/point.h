@@ -30,6 +30,13 @@ inline bool MeetsThreshold(float stored_norm, double k) {
   return static_cast<double>(stored_norm) >= k;
 }
 
+/// The top-k order: the larger norm first, ties broken by the smaller
+/// z-index. Every top-k merge uses it, so which tied points make the cut
+/// does not depend on traversal order or on how the work was split.
+inline bool RanksAbove(const ThresholdPoint& a, const ThresholdPoint& b) {
+  return a.norm > b.norm || (a.norm == b.norm && a.zindex < b.zindex);
+}
+
 /// Builds the result row for grid point (x, y, z).
 inline ThresholdPoint MakeThresholdPoint(uint32_t x, uint32_t y, uint32_t z,
                                          float norm) {

@@ -931,10 +931,7 @@ Result<TopKResult> Mediator::GetTopK(const TopKQuery& query,
     result.points.insert(result.points.end(), outcome.points.begin(),
                          outcome.points.end());
   }
-  std::sort(result.points.begin(), result.points.end(),
-            [](const ThresholdPoint& a, const ThresholdPoint& b) {
-              return a.norm > b.norm;
-            });
+  std::sort(result.points.begin(), result.points.end(), RanksAbove);
   if (result.points.size() > query.k) result.points.resize(query.k);
   result.time = MergeNodeTimes(outcomes);
   const uint64_t bytes_binary = EncodePointsBinary(result.points).size();

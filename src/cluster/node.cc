@@ -38,7 +38,7 @@ uint64_t CountRuns(const std::vector<uint64_t>& sorted_codes) {
 
 struct TopKHeapCompare {
   bool operator()(const ThresholdPoint& a, const ThresholdPoint& b) const {
-    return a.norm > b.norm;  // Min-heap on norm.
+    return RanksAbove(a, b);  // The top is the point ranking last.
   }
 };
 
@@ -364,6 +364,8 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
         outcome.norm_sum_sq += chunk.norm_sum_sq;
         outcome.norm_max = std::max(outcome.norm_max, chunk.norm_max);
         break;
+      case NodeQuery::Mode::kSample:
+        break;  // Served by ExecuteSample.
     }
   }
   TURBDB_RETURN_NOT_OK(failure);
@@ -547,30 +549,55 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
                               ChunkOutcome* out) {
   const int64_t w = query.dataset->geometry.atom_width();
 
-  // Fetch plan: unique codes, split into local reads and per-peer
-  // batches. The same wrapped code can back several periodic images; it
-  // is read once and copied to each destination.
-  std::vector<uint64_t> local_codes;
-  std::map<int, std::vector<uint64_t>> remote_codes;
+  // The slab spans the bounding box of all destinations.
+  Box3 slab_atoms;
   {
-    std::vector<uint64_t> unique_codes;
-    unique_codes.reserve(dest.size());
-    for (const auto& [coord, code] : dest) unique_codes.push_back(code);
-    std::sort(unique_codes.begin(), unique_codes.end());
-    unique_codes.erase(std::unique(unique_codes.begin(), unique_codes.end()),
-                       unique_codes.end());
-    for (uint64_t code : unique_codes) {
-      const int owner = query.partitioner->OwnerOfAtom(code);
-      if (owner == shard_id_) {
-        local_codes.push_back(code);
+    bool first = true;
+    for (const auto& [coord, code] : dest) {
+      if (first) {
+        slab_atoms = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
+                          coord[1] + 1, coord[2] + 1);
+        first = false;
       } else {
-        remote_codes[owner].push_back(code);
+        for (int d = 0; d < 3; ++d) {
+          slab_atoms.lo[d] = std::min(slab_atoms.lo[d], coord[d]);
+          slab_atoms.hi[d] = std::max(slab_atoms.hi[d], coord[d] + 1);
+        }
       }
     }
   }
+  const Box3 slab_region(slab_atoms.lo[0] * w, slab_atoms.lo[1] * w,
+                         slab_atoms.lo[2] * w, slab_atoms.hi[0] * w,
+                         slab_atoms.hi[1] * w, slab_atoms.hi[2] * w);
+  Slab slab(slab_region, query.raw_ncomp);
+  const auto dest_box = [w](const std::array<int64_t, 3>& coord) {
+    return Box3(coord[0] * w, coord[1] * w, coord[2] * w, (coord[0] + 1) * w,
+                (coord[1] + 1) * w, (coord[2] + 1) * w);
+  };
 
-  std::map<uint64_t, Atom> fetched;
-  // Local reads: one clustered-index range scan per contiguous run.
+  // Fetch plan: every (code, destination) pair in code order, and the
+  // unique codes split into local reads and per-peer batches. The same
+  // wrapped code can back several periodic images; it is read once and
+  // copied to each destination.
+  std::vector<std::pair<uint64_t, std::array<int64_t, 3>>> targets;
+  targets.reserve(dest.size());
+  for (const auto& [coord, code] : dest) targets.push_back({code, coord});
+  std::sort(targets.begin(), targets.end());
+  std::vector<uint64_t> local_codes;
+  std::map<int, std::vector<uint64_t>> remote_codes;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const uint64_t code = targets[i].first;
+    if (i > 0 && code == targets[i - 1].first) continue;
+    const int owner = query.partitioner->OwnerOfAtom(code);
+    if (owner == shard_id_) {
+      local_codes.push_back(code);
+    } else {
+      remote_codes[owner].push_back(code);
+    }
+  }
+
+  // Local reads: one clustered-index range scan per contiguous run, each
+  // atom copied from the store straight into the slab.
   if (!local_codes.empty()) {
     AtomStore* store = FindStore(query.dataset->name, query.raw_field);
     if (store == nullptr) {
@@ -580,14 +607,18 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
       return Slab();
     }
     uint64_t bytes = 0;
+    auto next = targets.begin();
     for (uint64_t code : local_codes) {
-      auto atom = store->Get(AtomKey{query.timestep, code});
-      if (!atom.ok()) {
-        out->status = atom.status();
-        return Slab();
-      }
-      bytes += atom->SizeBytes();
-      fetched.emplace(code, std::move(atom).value());
+      while (next->first != code) ++next;
+      out->status = store->Visit(
+          AtomKey{query.timestep, code}, [&](const Atom& atom) {
+            bytes += atom.SizeBytes();
+            for (auto it = next; it != targets.end() && it->first == code;
+                 ++it) {
+              slab.CopyAtom(atom, dest_box(it->second));
+            }
+          });
+      if (!out->status.ok()) return Slab();
     }
     out->io_s +=
         hdd_.ChargeRead(bytes, CountRuns(local_codes), query.processes);
@@ -597,6 +628,7 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
   // Remote halo reads: one batched request per adjacent node. Each hop
   // re-checks cancellation/deadline first: a network fetch is the most
   // expensive thing to start for a query nobody is waiting on.
+  std::map<uint64_t, Atom> fetched;
   for (const auto& [owner, codes] : remote_codes) {
     if (!remote_fetch_) {
       out->status = Status::Internal("remote fetch hook not wired");
@@ -621,35 +653,13 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
     out->io.atoms_read_remote += codes.size();
     out->io.bytes_read_remote += bytes;
   }
-
-  // Assemble the slab over the bounding box of all destinations.
-  Box3 slab_atoms;
-  {
-    bool first = true;
-    for (const auto& [coord, code] : dest) {
-      if (first) {
-        slab_atoms = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
-                          coord[1] + 1, coord[2] + 1);
-        first = false;
-      } else {
-        for (int d = 0; d < 3; ++d) {
-          slab_atoms.lo[d] = std::min(slab_atoms.lo[d], coord[d]);
-          slab_atoms.hi[d] = std::max(slab_atoms.hi[d], coord[d] + 1);
-        }
-      }
+  for (const auto& [code, coord] : targets) {
+    if (std::binary_search(local_codes.begin(), local_codes.end(), code)) {
+      continue;
     }
-  }
-  const Box3 slab_region(slab_atoms.lo[0] * w, slab_atoms.lo[1] * w,
-                         slab_atoms.lo[2] * w, slab_atoms.hi[0] * w,
-                         slab_atoms.hi[1] * w, slab_atoms.hi[2] * w);
-  Slab slab(slab_region, query.raw_ncomp);
-  for (const auto& [coord, code] : dest) {
     auto it = fetched.find(code);
     TURBDB_CHECK(it != fetched.end());
-    const Box3 dest_box(coord[0] * w, coord[1] * w, coord[2] * w,
-                        (coord[0] + 1) * w, (coord[1] + 1) * w,
-                        (coord[2] + 1) * w);
-    slab.CopyAtom(it->second, dest_box);
+    slab.CopyAtom(it->second, dest_box(coord));
   }
   return slab;
 }
@@ -710,20 +720,43 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
     }
   }
 
+  // The chunk's interest in the query box as x-runs: the interest boxes
+  // of x-adjacent atoms of one atom row merge into one box, so the kernel
+  // sees lines of up to the chunk's width instead of one atom's.
+  std::vector<std::array<uint32_t, 3>> atom_zyx;
+  atom_zyx.reserve(chunk_atoms.size());
+  for (uint64_t code : chunk_atoms) {
+    uint32_t ax, ay, az;
+    MortonDecode3(code, &ax, &ay, &az);
+    atom_zyx.push_back({az, ay, ax});
+  }
+  std::sort(atom_zyx.begin(), atom_zyx.end());
+  std::vector<Box3> runs;
+  for (const auto& [az, ay, ax] : atom_zyx) {
+    const Box3 atom_box(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
+                        (az + 1) * w);
+    const Box3 interest = atom_box.Intersection(query.box);
+    if (interest.Empty()) continue;
+    if (!runs.empty()) {
+      Box3& run = runs.back();
+      if (run.hi[0] == interest.lo[0] && run.lo[1] == interest.lo[1] &&
+          run.hi[1] == interest.hi[1] && run.lo[2] == interest.lo[2] &&
+          run.hi[2] == interest.hi[2]) {
+        run.hi[0] = interest.hi[0];
+        continue;
+      }
+    }
+    runs.push_back(interest);
+  }
+
   // ---- Gather phase -------------------------------------------------
   // Destination atom positions (in unwrapped atom coordinates, so
   // periodic halo images land outside [0, na)) -> wrapped atom code.
   DestMap dest;
   uint64_t interest_points = 0;
-  for (uint64_t code : chunk_atoms) {
-    uint32_t ax, ay, az;
-    MortonDecode3(code, &ax, &ay, &az);
-    const Box3 atom_box(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
-                        (az + 1) * w);
-    const Box3 interest = atom_box.Intersection(query.box);
-    if (interest.Empty()) continue;
-    interest_points += static_cast<uint64_t>(interest.Volume());
-    InsertCover(geometry, geometry.AtomCover(interest.Grown(halo)), &dest);
+  for (const Box3& run : runs) {
+    interest_points += static_cast<uint64_t>(run.Volume());
+    InsertCover(geometry, geometry.AtomCover(run.Grown(halo)), &dest);
   }
   if (dest.empty()) return out;
 
@@ -738,22 +771,18 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
   if (query.options.io_only) return out;
 
   // ---- Evaluate phase ------------------------------------------------
-  // The kernel fills one x-run of an atom's interest box at a time, and
-  // the mode is applied over that buffer.
+  // The kernel fills one line of an x-run at a time, and the mode is
+  // applied over that buffer.
   std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
                       TopKHeapCompare>
       topk;
-  std::vector<double> norms(static_cast<size_t>(w));
+  int64_t widest = 0;
+  for (const Box3& run : runs) widest = std::max(widest, run.Extent(0));
+  std::vector<double> norms(static_cast<size_t>(widest));
   uint64_t evaluated = 0;
-  for (uint64_t code : chunk_atoms) {
+  for (const Box3& interest : runs) {
     out.status = CheckInterrupts(query);
     if (!out.status.ok()) return out;
-    uint32_t ax, ay, az;
-    MortonDecode3(code, &ax, &ay, &az);
-    const Box3 atom_box(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
-                        (az + 1) * w);
-    const Box3 interest = atom_box.Intersection(query.box);
-    if (interest.Empty()) continue;
     const int64_t x0 = interest.lo[0];
     const int64_t run = interest.Extent(0);
     for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
@@ -801,14 +830,19 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
             break;
           case NodeQuery::Mode::kTopK:
             for (int64_t i = 0; i < run; ++i) {
+              const float stored = static_cast<float>(norms[i]);
               if (topk.size() < query.k) {
-                topk.push(point(i, static_cast<float>(norms[i])));
-              } else if (norms[i] > topk.top().norm) {
+                topk.push(point(i, stored));
+              } else if (stored >= topk.top().norm) {
+                const ThresholdPoint candidate = point(i, stored);
+                if (!RanksAbove(candidate, topk.top())) continue;
                 topk.pop();
-                topk.push(point(i, static_cast<float>(norms[i])));
+                topk.push(candidate);
               }
             }
             break;
+          case NodeQuery::Mode::kSample:
+            break;  // Served by ProcessSampleChunk.
         }
       }
     }

@@ -294,7 +294,7 @@ Result<std::unique_ptr<net::Server>> ServeMediator(
   // bytes are visible in the governor gauges. Attached while the cache
   // is still empty, so every reservation goes through this ledger.
   mediator->result_cache().AttachLedger(&server->governor());
-  return std::move(server);
+  return server;
 }
 
 }  // namespace turbdb

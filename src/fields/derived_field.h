@@ -10,6 +10,17 @@
 
 namespace turbdb {
 
+/// The instruction sets the gradient line kernels are compiled for: the
+/// baseline x86-64 build and AVX2 (without FMA, so every product and sum
+/// rounds as in NormAt()). NormLine() runs on BestKernelIsa().
+enum class KernelIsa { kBaseline, kAvx2 };
+
+/// True if this CPU can run kernels compiled for `isa`.
+bool CpuSupports(KernelIsa isa);
+
+/// The widest KernelIsa this CPU supports, probed once per process.
+KernelIsa BestKernelIsa();
+
 /// A field derived on-demand from a raw stored field via a localized
 /// kernel of computation (Sec. 4 of the paper). Implementations are
 /// stateless and thread-safe; one instance is shared by all workers.
@@ -50,12 +61,20 @@ class DerivedField {
                 int64_t y, int64_t z) const;
 
   /// NormAt() at the n nodes (x0 .. x0+n-1, y, z) of one x-line, written
-  /// to norms[0 .. n) bit for bit. The default loops over NormAt(), so
-  /// every kernel works unchanged; hot kernels override it to resolve
-  /// strides and stencil weights once per line instead of once per point.
-  virtual void NormLine(const Slab& slab, const Differentiator& diff,
-                        int64_t x0, int64_t n, int64_t y, int64_t z,
-                        double* norms) const;
+  /// to norms[0 .. n) bit for bit, on BestKernelIsa().
+  void NormLine(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z, double* norms) const {
+    NormLineFor(BestKernelIsa(), slab, diff, x0, n, y, z, norms);
+  }
+
+  /// NormLine() with the code compiled for `isa`, which the CPU must
+  /// support; both builds give the same bits. The default loops over
+  /// NormAt(), so every kernel works unchanged; hot kernels override it
+  /// to resolve strides and stencil weights once per line instead of
+  /// once per point, and kernels with one build ignore `isa`.
+  virtual void NormLineFor(KernelIsa isa, const Slab& slab,
+                           const Differentiator& diff, int64_t x0, int64_t n,
+                           int64_t y, int64_t z, double* norms) const;
 };
 
 /// Norm of the raw stored field itself (e.g. thresholding the magnetic
@@ -72,9 +91,9 @@ class MagnitudeField : public DerivedField {
   double FlopsPerPoint(int) const override { return 2.0 * ncomp_; }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
-  void NormLine(const Slab& slab, const Differentiator& diff, int64_t x0,
-                int64_t n, int64_t y, int64_t z,
-                double* norms) const override;
+  void NormLineFor(KernelIsa isa, const Slab& slab,
+                   const Differentiator& diff, int64_t x0, int64_t n,
+                   int64_t y, int64_t z, double* norms) const override;
 
  private:
   int ncomp_;
@@ -83,9 +102,11 @@ class MagnitudeField : public DerivedField {
 /// Base of the kernels that are a pointwise function of the first
 /// partials A_ij = du_i/dx_j of a 3-component field. `Kernel` supplies
 /// kOutputs, kGradientMask (bit 3*i+j set for every A_ij it reads) and
-/// `static void FromGradient(const double* a, double* out)`, which fills
-/// out[0 .. kOutputs) from a[3*i+j]. EvaluateAt() and NormLine() both
-/// finish through FromGradient(), so per-point and per-line norms agree.
+/// `template <typename T> static void FromGradient(const T* a, T* out)`,
+/// which fills out[0 .. kOutputs) from a[3*i+j]. T is double for one
+/// point and a 4-wide vector of doubles for four points of a line.
+/// EvaluateAt() and NormLine() both finish through FromGradient(), so
+/// per-point and per-line norms agree.
 template <typename Kernel>
 class GradientField : public DerivedField {
  public:
@@ -94,9 +115,9 @@ class GradientField : public DerivedField {
   int HaloWidth(int fd_order) const override { return fd_order / 2; }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
-  void NormLine(const Slab& slab, const Differentiator& diff, int64_t x0,
-                int64_t n, int64_t y, int64_t z,
-                double* norms) const override;
+  void NormLineFor(KernelIsa isa, const Slab& slab,
+                   const Differentiator& diff, int64_t x0, int64_t n,
+                   int64_t y, int64_t z, double* norms) const override;
 };
 
 /// Curl of a 3-component field: the vorticity when applied to velocity,
@@ -117,7 +138,8 @@ class CurlField : public GradientField<CurlField> {
 
   static constexpr int kOutputs = 3;
   static constexpr unsigned kGradientMask = 0x0EE;  ///< The off-diagonal.
-  static void FromGradient(const double* a, double* out);
+  template <typename T>
+  static void FromGradient(const T* a, T* out);
 
  private:
   std::string name_;
@@ -133,7 +155,8 @@ class VelocityGradientField : public GradientField<VelocityGradientField> {
 
   static constexpr int kOutputs = 9;
   static constexpr unsigned kGradientMask = 0x1FF;
-  static void FromGradient(const double* a, double* out);
+  template <typename T>
+  static void FromGradient(const T* a, T* out);
 };
 
 /// Second invariant of the velocity gradient:
@@ -149,7 +172,8 @@ class QCriterionField : public GradientField<QCriterionField> {
 
   static constexpr int kOutputs = 1;
   static constexpr unsigned kGradientMask = 0x1FF;
-  static void FromGradient(const double* a, double* out);
+  template <typename T>
+  static void FromGradient(const T* a, T* out);
 };
 
 /// Third invariant of the velocity gradient: R = -det(A).
@@ -162,7 +186,8 @@ class RInvariantField : public GradientField<RInvariantField> {
 
   static constexpr int kOutputs = 1;
   static constexpr unsigned kGradientMask = 0x1FF;
-  static void FromGradient(const double* a, double* out);
+  template <typename T>
+  static void FromGradient(const T* a, T* out);
 };
 
 /// Top-hat (box) spatial filter of the raw field: the mean over the
@@ -204,7 +229,8 @@ class DivergenceField : public GradientField<DivergenceField> {
 
   static constexpr int kOutputs = 1;
   static constexpr unsigned kGradientMask = 0x111;  ///< The diagonal.
-  static void FromGradient(const double* a, double* out);
+  template <typename T>
+  static void FromGradient(const T* a, T* out);
 };
 
 }  // namespace turbdb

@@ -20,6 +20,13 @@ VerifyReport AtomStore::Verify(const std::function<void(uint64_t)>& pace) {
   return report;
 }
 
+Status AtomStore::Visit(const AtomKey& key,
+                       const std::function<void(const Atom&)>& fn) const {
+  TURBDB_ASSIGN_OR_RETURN(Atom atom, Get(key));
+  fn(atom);
+  return Status::OK();
+}
+
 Status InMemoryAtomStore::Put(const Atom& atom) {
   std::unique_lock lock(mutex_);
   auto [it, inserted] = atoms_.emplace(atom.key, atom);
@@ -31,12 +38,20 @@ Status InMemoryAtomStore::Put(const Atom& atom) {
 }
 
 Result<Atom> InMemoryAtomStore::Get(const AtomKey& key) const {
+  Atom atom;
+  TURBDB_RETURN_NOT_OK(Visit(key, [&](const Atom& stored) { atom = stored; }));
+  return atom;
+}
+
+Status InMemoryAtomStore::Visit(
+    const AtomKey& key, const std::function<void(const Atom&)>& fn) const {
   std::shared_lock lock(mutex_);
   auto it = atoms_.find(key);
   if (it == atoms_.end()) {
     return Status::NotFound("atom not found");
   }
-  return it->second;
+  fn(it->second);
+  return Status::OK();
 }
 
 bool InMemoryAtomStore::Contains(const AtomKey& key) const {

@@ -48,6 +48,13 @@ class AtomStore {
   /// Point lookup by exact key.
   virtual Result<Atom> Get(const AtomKey& key) const = 0;
 
+  /// Calls `fn` once with the atom stored under `key`, without copying
+  /// it where the store can: the in-memory store visits under its shared
+  /// lock, so `fn` must not call back into the store. The default reads a
+  /// copy with Get(). Fails as Get() does, without calling `fn`.
+  virtual Status Visit(const AtomKey& key,
+                       const std::function<void(const Atom&)>& fn) const;
+
   virtual bool Contains(const AtomKey& key) const = 0;
 
   /// Ordered scan of all atoms of `timestep` whose z-index lies in
@@ -103,6 +110,8 @@ class InMemoryAtomStore : public AtomStore {
  public:
   Status Put(const Atom& atom) override;
   Result<Atom> Get(const AtomKey& key) const override;
+  Status Visit(const AtomKey& key,
+               const std::function<void(const Atom&)>& fn) const override;
   bool Contains(const AtomKey& key) const override;
   Status Scan(int32_t timestep, const MortonRange& range,
               const std::function<void(const Atom&)>& fn) const override;

@@ -138,7 +138,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   std::unique_ptr<WriteAheadLog> wal(
       new WriteAheadLog(path, fd, policy));
   TURBDB_RETURN_NOT_OK(wal->Recover());
-  return std::move(wal);
+  return wal;
 }
 
 Status WriteAheadLog::Recover() {

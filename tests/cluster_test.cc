@@ -284,6 +284,41 @@ TEST(ClusterTest, PdfWithTinyBinWidthLandsInOverflowBin) {
   EXPECT_EQ(pdf->counts[4], pdf->total_points);
 }
 
+/// On a constant (here zero) field every norm ties, so which points make
+/// the top-k cut rests on the tie-break alone (the smaller z-index ranks
+/// first). It must not depend on how the work is split across nodes and
+/// processes.
+TEST(ClusterTest, TopKTiesAreBrokenByZIndexAtEveryTopology) {
+  TurbulenceSpec still = SmallTestSpec(7);
+  still.num_modes = 0;
+  still.num_tubes = 0;
+  for (const auto& [nodes, processes] :
+       {std::pair{1, 1}, std::pair{1, 3}, std::pair{1, 4}, std::pair{4, 1},
+        std::pair{4, 3}, std::pair{4, 4}}) {
+    TurbDBConfig config;
+    config.cluster.num_nodes = nodes;
+    config.cluster.processes_per_node = processes;
+    auto db = TurbDB::Open(config);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->CreateDataset(MakeIsotropicDataset("iso", kN, 1)).ok());
+    ASSERT_TRUE(
+        (*db)->IngestSyntheticField("iso", "velocity", still, 0, 1).ok());
+    TopKQuery query;
+    query.dataset = "iso";
+    query.raw_field = "velocity";
+    query.derived_field = "vorticity";
+    query.box = Box3::WholeGrid(kN, kN, kN);
+    query.k = 37;
+    auto result = (*db)->TopK(query);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->points.size(), 37u);
+    for (size_t i = 0; i < result->points.size(); ++i) {
+      EXPECT_EQ(result->points[i], (ThresholdPoint{i, 0.0f}))
+          << nodes << " nodes x " << processes << " processes, row " << i;
+    }
+  }
+}
+
 TEST(ClusterTest, WallTimeIsMeasured) {
   auto db = MakeTestDb(kN, 2, 2, 1);
   ASSERT_NE(db, nullptr);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <vector>
 
 #include "common/rng.h"
@@ -228,47 +229,70 @@ Slab NoiseSlab(const GridGeometry& geometry, int halo) {
   return slab;
 }
 
-/// NormLine() must equal NormAt() bit for bit, for every kernel: the node
-/// evaluates lines, the brute-force oracle evaluates points, and their
-/// answers are compared byte for byte. The walled-x grid covers stencils
+/// NormLine() must equal NormAt() bit for bit, for every kernel and on
+/// every KernelIsa this CPU runs (a CPU without AVX2 checks only the
+/// baseline build): the node evaluates lines, the brute-force oracle
+/// evaluates points, and their answers are compared byte for byte. Lines
+/// span one to eight atoms, with lengths of every residue mod 4 (the
+/// 4-wide steps plus each scalar tail). The walled-x grid covers stencils
 /// that shift along the line.
 TEST(NormLineTest, BitIdenticalToNormAt) {
+  const GridGeometry periodic_wide = GridGeometry::FromParts(
+      {64, 16, 16}, {4.0, 1.0, 1.0}, {true, true, true}, 8, {});
   const GridGeometry walled_x = GridGeometry::FromParts(
-      {24, 16, 16}, {3.0, 2.0, 2.0}, {false, true, false}, 8, {});
+      {64, 16, 16}, {8.0, 2.0, 2.0}, {false, true, false}, 8, {});
+  ASSERT_TRUE(periodic_wide.Validate().ok());
   ASSERT_TRUE(walled_x.Validate().ok());
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa : {KernelIsa::kBaseline, KernelIsa::kAvx2}) {
+    if (CpuSupports(isa)) isas.push_back(isa);
+  }
+  if (isas.size() < 2) {
+    std::cout << "[   NOTE   ] no AVX2 on this CPU: baseline build only\n";
+  }
   const FieldRegistry registry = FieldRegistry::Default();
   for (const GridGeometry& geometry :
        {GridGeometry::Isotropic(32), GridGeometry::Channel(32, 24, 16),
-        walled_x}) {
+        periodic_wide, walled_x}) {
     const Slab slab = NoiseSlab(geometry, 4);
     const int64_t nx = geometry.nx();
     const int64_t ny = geometry.ny();
     const int64_t nz = geometry.nz();
+    const int64_t w = geometry.atom_width();
+    std::vector<int64_t> lengths = {1, 7, 8, nx};
+    for (int64_t atoms = 2; atoms <= 8 && atoms * w <= nx; ++atoms) {
+      for (int64_t short_by = 0; short_by < 4; ++short_by) {
+        lengths.push_back(atoms * w - short_by);
+      }
+    }
     for (int order : {2, 4, 6, 8}) {
       auto diff = Differentiator::Create(geometry, order);
       ASSERT_TRUE(diff.ok()) << diff.status();
       for (const std::string& name : registry.Names()) {
         auto kernel = registry.Create(name, 3);
         ASSERT_TRUE(kernel.ok()) << name;
-        for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, nx}) {
-          for (int64_t start : {int64_t{0}, nx / 2 - 3,
-                                nx - geometry.atom_width()}) {
+        for (int64_t n : lengths) {
+          for (int64_t start : {int64_t{0}, nx / 2 - 3, nx - w}) {
             const int64_t x0 = std::min(start, nx - n);
             for (int64_t y : {int64_t{0}, int64_t{1}, ny / 2, ny - 1}) {
               for (int64_t z : {int64_t{0}, nz / 2 + 1, nz - 1}) {
-                std::vector<double> line(static_cast<size_t>(n));
-                (*kernel)->NormLine(slab, *diff, x0, n, y, z, line.data());
                 std::vector<double> points(static_cast<size_t>(n));
                 for (int64_t i = 0; i < n; ++i) {
                   points[static_cast<size_t>(i)] =
                       (*kernel)->NormAt(slab, *diff, x0 + i, y, z);
                 }
-                ASSERT_EQ(std::memcmp(line.data(), points.data(),
-                                      line.size() * sizeof(double)),
-                          0)
-                    << name << " order " << order << " extents " << nx
-                    << "x" << ny << "x" << nz << " line x0=" << x0
-                    << " n=" << n << " y=" << y << " z=" << z;
+                for (KernelIsa isa : isas) {
+                  std::vector<double> line(static_cast<size_t>(n));
+                  (*kernel)->NormLineFor(isa, slab, *diff, x0, n, y, z,
+                                         line.data());
+                  ASSERT_EQ(std::memcmp(line.data(), points.data(),
+                                        line.size() * sizeof(double)),
+                            0)
+                      << name << " order " << order << " extents " << nx
+                      << "x" << ny << "x" << nz << " line x0=" << x0
+                      << " n=" << n << " y=" << y << " z=" << z << " isa "
+                      << static_cast<int>(isa);
+                }
               }
             }
           }

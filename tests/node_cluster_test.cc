@@ -238,9 +238,10 @@ TEST(NodeClusterTest, KillMidQueryNamesTheLostNode) {
                             /*subquery_deadline_ms=*/10000);
   ASSERT_TRUE(db.ok()) << db.status();
 
-  // Fire the query on a separate thread and kill node 2 while it is in
-  // flight. Threshold 0 touches every grid point, so the sub-queries are
-  // long enough that the kill lands mid-execution.
+  // Freeze node 2, fire the query on a separate thread and kill node 2
+  // while the query waits on it. The frozen node cannot answer, so the
+  // kill lands mid-query however fast the other sub-queries finish.
+  (*procs)->Freeze(2);
   Result<ThresholdResult> result = Status::Internal("query never ran");
   QueryOptions options;
   options.use_cache = false;

@@ -94,14 +94,23 @@ class NodeProcessCluster {
   int num_nodes() const { return static_cast<int>(pids_.size()); }
   bool alive(int i) const { return pids_[static_cast<size_t>(i)] > 0; }
 
-  /// Kills node `i` with `sig` and reaps it; idempotent.
+  /// Kills node `i` with `sig` and reaps it; idempotent. A frozen node
+  /// is continued so that it can act on `sig`.
   void Kill(int i, int sig = SIGKILL) {
     pid_t& pid = pids_[static_cast<size_t>(i)];
     if (pid <= 0) return;
     ::kill(pid, sig);
+    ::kill(pid, SIGCONT);
     int ignored = 0;
     ::waitpid(pid, &ignored, 0);
     pid = -1;
+  }
+
+  /// Stops node `i` with SIGSTOP without reaping it: it keeps its
+  /// sockets but answers nothing until Kill().
+  void Freeze(int i) {
+    const pid_t pid = pids_[static_cast<size_t>(i)];
+    if (pid > 0) ::kill(pid, SIGSTOP);
   }
 
   /// SIGTERM (graceful drain) + reap, every live node.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -71,6 +72,99 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParams{4, 2, 1}, EngineParams{4, 3, 4},
                       EngineParams{6, 2, 2}, EngineParams{8, 4, 1},
                       EngineParams{8, 2, 3}));
+
+/// Brute-force pdf over `box`: the node's binning of the double norm.
+std::vector<uint64_t> BruteForcePdf(const Slab& slab,
+                                    const DerivedField& kernel,
+                                    const Differentiator& diff,
+                                    const Box3& box, double bin_width,
+                                    int num_bins) {
+  std::vector<uint64_t> counts(static_cast<size_t>(num_bins) + 1, 0);
+  for (int64_t z = box.lo[2]; z < box.hi[2]; ++z) {
+    for (int64_t y = box.lo[1]; y < box.hi[1]; ++y) {
+      for (int64_t x = box.lo[0]; x < box.hi[0]; ++x) {
+        const double scaled = kernel.NormAt(slab, diff, x, y, z) / bin_width;
+        ++counts[scaled < num_bins ? static_cast<size_t>(scaled)
+                                   : static_cast<size_t>(num_bins)];
+      }
+    }
+  }
+  return counts;
+}
+
+/// Brute-force top-k over `box`, in RanksAbove() order.
+std::vector<ThresholdPoint> BruteForceTopK(const Slab& slab,
+                                           const DerivedField& kernel,
+                                           const Differentiator& diff,
+                                           const Box3& box, uint64_t k) {
+  std::vector<ThresholdPoint> points = BruteForceThreshold(
+      slab, kernel, diff, box, -std::numeric_limits<double>::infinity());
+  std::sort(points.begin(), points.end(), RanksAbove);
+  if (points.size() > k) points.resize(k);
+  return points;
+}
+
+/// Threshold, pdf and top-k answers equal the single-slab oracle byte for
+/// byte, over the whole grid and over a sub-box whose stencils reach
+/// across the periodic wrap (it touches the low x, high y and low z faces)
+/// and whose x-extent ends mid-atom, with one and with four processes per
+/// node.
+TEST(OracleEquivalence, ThresholdPdfAndTopKMatchBruteForce) {
+  const GridGeometry geometry = GridGeometry::Isotropic(kN);
+  SyntheticField generator(SmallTestSpec(7), geometry, 3);
+  const Slab slab = FullSlabWithHalo(generator, 0, 2);
+  CurlField kernel;
+  auto diff = Differentiator::Create(geometry, 4);
+  ASSERT_TRUE(diff.ok());
+  for (int processes : {1, 4}) {
+    auto db = MakeTestDb(kN, 2, processes, 1);
+    ASSERT_NE(db, nullptr);
+    for (const Box3& box :
+         {Box3::WholeGrid(kN, kN, kN), Box3(0, 19, 0, 29, kN, 6)}) {
+      const std::string where = box.ToString() + " at " +
+                                std::to_string(processes) + " processes";
+      ThresholdQuery threshold;
+      threshold.dataset = "iso";
+      threshold.raw_field = "velocity";
+      threshold.derived_field = "vorticity";
+      threshold.box = box;
+      threshold.threshold = 1.0;
+      QueryOptions options;
+      options.use_cache = false;
+      auto points = db->Threshold(threshold, options);
+      ASSERT_TRUE(points.ok()) << points.status();
+      const auto expected =
+          BruteForceThreshold(slab, kernel, *diff, box, threshold.threshold);
+      ASSERT_FALSE(expected.empty()) << where;
+      EXPECT_EQ(points->points, expected) << where;
+
+      PdfQuery pdf;
+      pdf.dataset = "iso";
+      pdf.raw_field = "velocity";
+      pdf.derived_field = "vorticity";
+      pdf.box = box;
+      pdf.bin_width = 0.5;
+      pdf.num_bins = 9;
+      auto counts = db->Pdf(pdf);
+      ASSERT_TRUE(counts.ok()) << counts.status();
+      EXPECT_EQ(counts->counts, BruteForcePdf(slab, kernel, *diff, box,
+                                              pdf.bin_width, pdf.num_bins))
+          << where;
+
+      TopKQuery topk;
+      topk.dataset = "iso";
+      topk.raw_field = "velocity";
+      topk.derived_field = "vorticity";
+      topk.box = box;
+      topk.k = 50;
+      auto top = db->TopK(topk);
+      ASSERT_TRUE(top.ok()) << top.status();
+      EXPECT_EQ(top->points,
+                BruteForceTopK(slab, kernel, *diff, box, topk.k))
+          << where;
+    }
+  }
+}
 
 /// Random boxes must also match (exercises partial atoms, node borders,
 /// halo wrap interplay with box clipping).

@@ -62,16 +62,45 @@ TEST(SlabTest, CopyAtomClipsToSlabRegion) {
   EXPECT_EQ(slab.At(4, 4, 4, 0), 444.0f);
 }
 
-TEST(SlabTest, MultiComponentLayoutIsPointMajor) {
+TEST(SlabTest, MultiComponentLayoutIsPlanar) {
   Slab slab(Box3(0, 0, 0, 2, 2, 2), 3);
   slab.At(1, 0, 0, 0) = 1.0f;
   slab.At(1, 0, 0, 1) = 2.0f;
   slab.At(1, 0, 0, 2) = 3.0f;
+  slab.At(0, 1, 1, 2) = 4.0f;
   const std::vector<float>& data = slab.data();
-  // Point (1,0,0) starts at flat index 1*3.
-  EXPECT_EQ(data[3], 1.0f);
-  EXPECT_EQ(data[4], 2.0f);
-  EXPECT_EQ(data[5], 3.0f);
+  // One x-fastest plane of 8 points per component: point (1,0,0) is
+  // flat index 1 of each plane, point (0,1,1) index 2 + 4.
+  EXPECT_EQ(slab.ComponentStride(), 8);
+  EXPECT_EQ(slab.Stride(0), 1);
+  EXPECT_EQ(slab.Stride(1), 2);
+  EXPECT_EQ(slab.Stride(2), 4);
+  EXPECT_EQ(data[1], 1.0f);
+  EXPECT_EQ(data[8 + 1], 2.0f);
+  EXPECT_EQ(data[16 + 1], 3.0f);
+  EXPECT_EQ(data[16 + 6], 4.0f);
+  EXPECT_EQ(slab.Ptr(1, 0, 0, 2), data.data() + 17);
+}
+
+TEST(SlabTest, CopyAtomDeinterleavesIntoPlanes) {
+  // A clipped multi-component copy: every component of every copied
+  // point lands in its own plane, and nothing else is written.
+  Slab slab(Box3(3, 0, 0, 12, 8, 8), 3);
+  const Atom atom = FilledAtom(MortonEncode3(0, 0, 0), 3);
+  slab.CopyAtom(atom, atom.GridBox());
+  for (int64_t z = 0; z < 8; ++z) {
+    for (int64_t y = 0; y < 8; ++y) {
+      for (int64_t x = 3; x < 12; ++x) {
+        for (int c = 0; c < 3; ++c) {
+          const float expected =
+              x < 8 ? static_cast<float>(1000 * c + 100 * z + 10 * y + x)
+                    : 0.0f;
+          ASSERT_EQ(slab.At(x, y, z, c), expected)
+              << x << "," << y << "," << z << " c" << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 #
 # A plain (non-sanitized) pass is the normal `cmake -B build && ctest`
 # flow; this script exists so CI and pre-merge checks exercise the
-# memory-, UB- and race-checked configurations too.
+# memory-, UB- and race-checked configurations too. Every build here
+# treats warnings as errors (TURBDB_WERROR).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -18,7 +19,7 @@ JOBS="${JOBS:-$(nproc)}"
 SANITIZE="${TURBDB_SANITIZE:-ON}"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTURBDB_WERROR=ON \
   -DTURBDB_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 # Per-test timeout so a distributed-path hang (e.g. a dead node that is
@@ -38,7 +39,7 @@ ctest --test-dir "$BUILD_DIR" -L multiprocess --output-on-failure \
 # mid-stream client disconnects, torn chunk frames.
 FAULTS_DIR="$ROOT/build-faults-check"
 cmake -B "$FAULTS_DIR" -S "$ROOT" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTURBDB_WERROR=ON \
   -DTURBDB_FAULTS=ON \
   -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
 cmake --build "$FAULTS_DIR" -j "$JOBS"
@@ -372,7 +373,7 @@ echo "self-heal drill: ok ($HEAL_JSON)"
 if [ "$SANITIZE" != "thread" ]; then
   TSAN_DIR="$ROOT/build-tsan"
   cmake -B "$TSAN_DIR" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTURBDB_WERROR=ON \
     -DTURBDB_SANITIZE=thread \
     -DTURBDB_FAULTS=ON \
     -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
