@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths underneath the
 // threshold-query engine: Morton coding, box-to-range decomposition,
-// derived-field kernels, result serialization, cache lookups and
-// friends-of-friends clustering.
+// derived-field kernels, result serialization, cache inserts and lookups,
+// CRC-32 and friends-of-friends clustering.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "array/morton.h"
 #include "array/slab.h"
 #include "cache/semantic_cache.h"
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "datagen/turbulence.h"
@@ -246,7 +247,20 @@ void BM_EncodePointsXml(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodePointsXml)->Arg(1000)->Arg(100000);
 
-void BM_CacheLookupHit(benchmark::State& state) {
+void BM_SemanticCacheInsert(benchmark::State& state) {
+  TransactionManager txn_manager;
+  SemanticCache cache(&txn_manager, DeviceSpec::Ssd(), 1ULL << 30);
+  const Box3 region = Box3::WholeGrid(256, 256, 256);
+  const auto points = RandomPoints(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    // Each insert replaces the previous entry for the same region.
+    TURBDB_CHECK_OK(cache.Insert("d", "f", 0, 4, region, 10.0, points));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SemanticCacheInsert)->Arg(20000);
+
+void BM_SemanticCacheLookup(benchmark::State& state) {
   TransactionManager txn_manager;
   SemanticCache cache(&txn_manager, DeviceSpec::Ssd(), 1ULL << 30);
   const Box3 region = Box3::WholeGrid(256, 256, 256);
@@ -257,8 +271,27 @@ void BM_CacheLookupHit(benchmark::State& state) {
     auto lookup = cache.Lookup("d", "f", 0, 4, region, 20.0);
     benchmark::DoNotOptimize(lookup);
   }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_CacheLookupHit)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_SemanticCacheLookup)->Arg(1000)->Arg(20000)->Arg(100000);
+
+/// Args: Crc32Path (0 table, 1 PCLMUL folding), bytes (64 = a short
+/// frame, 6144 = one 8^3 atom of 3 floats).
+void BM_Crc32(benchmark::State& state) {
+  const auto path = static_cast<Crc32Path>(state.range(0));
+  if (!CpuSupports(path)) {
+    state.SkipWithError("path not supported on this CPU");
+    return;
+  }
+  SplitMix64 rng(7);
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(1)));
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32For(path, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {64, 6144}});
 
 void BM_FriendsOfFriends(benchmark::State& state) {
   const auto raw = RandomPoints(static_cast<size_t>(state.range(0)));

@@ -57,25 +57,20 @@ Result<CacheLookup> SemanticCache::Lookup(const std::string& dataset,
     return lookup;
   }
 
-  // Retrieve the entry's points with one range scan of cacheData
-  // (Algorithm 1, lines 13-22), filtering to the query box and threshold.
-  const CacheDataKey data_lo{match_key.ordinal, 0};
-  const CacheDataKey data_hi{match_key.ordinal, UINT64_MAX};
-  uint64_t data_rows = 0;
-  cache_data_.Scan(txn.get(), data_lo, data_hi,
-                   [&](const CacheDataKey& key, const float& norm) {
-                     ++data_rows;
-                     if (MeetsThreshold(norm, threshold)) {
-                       uint32_t x, y, z;
-                       MortonDecode3(key.zindex, &x, &y, &z);
-                       if (box.ContainsPoint(x, y, z)) {
-                         lookup.points.push_back(
-                             ThresholdPoint{key.zindex, norm});
-                       }
-                     }
-                     return true;
-                   });
+  // Retrieve the entry's points, its one cacheData row (Algorithm 1,
+  // lines 13-22), and filter them to the query box and threshold. The row
+  // is immutable, so it is filtered outside the transaction.
+  auto row = cache_data_.Get(txn.get(), match_key.ordinal);
   TURBDB_CHECK_OK(txn_manager_->Commit(txn.get()));
+  TURBDB_CHECK(row.ok());  // Committed in the same transaction as its info.
+  const std::vector<ThresholdPoint>& points = *row.value();
+  const uint64_t data_rows = points.size();
+  for (const ThresholdPoint& point : points) {
+    if (!MeetsThreshold(point.norm, threshold)) continue;
+    uint32_t x, y, z;
+    point.Coords(&x, &y, &z);
+    if (box.ContainsPoint(x, y, z)) lookup.points.push_back(point);
+  }
 
   lookup.hit = true;
   lookup.io.cache_records_scanned += data_rows;
@@ -105,10 +100,16 @@ Status SemanticCache::Insert(const std::string& dataset,
                      << " bytes exceeds cache capacity; not cached";
     return Status::OK();
   }
+  auto sorted = std::make_shared<std::vector<ThresholdPoint>>(points);
+  std::sort(sorted->begin(), sorted->end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return a.zindex < b.zindex;
+            });
+  const CacheDataRow row = std::move(sorted);
   Status status;
   for (int attempt = 0; attempt < kInsertRetries; ++attempt) {
     status = InsertOnce(dataset, field, timestep, fd_order, region, threshold,
-                        points);
+                        row);
     if (status.ok() &&
         inserts_since_gc_.fetch_add(1) + 1 >= kGcInterval) {
       inserts_since_gc_.store(0);
@@ -125,9 +126,9 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
                                  const std::string& field, int32_t timestep,
                                  int fd_order, const Box3& region,
                                  double threshold,
-                                 const std::vector<ThresholdPoint>& points) {
+                                 const CacheDataRow& points) {
   const uint64_t needed =
-      points.size() * kBytesPerPoint + kBytesPerInfoRecord;
+      points->size() * kBytesPerPoint + kBytesPerInfoRecord;
   auto txn = txn_manager_->Begin();
 
   uint64_t freed = 0;
@@ -204,12 +205,9 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
   CacheInfoRecord record;
   record.region = region;
   record.threshold = threshold;
-  record.num_points = points.size();
+  record.num_points = points->size();
   cache_info_.Put(txn.get(), key, record);
-  for (const ThresholdPoint& point : points) {
-    cache_data_.Put(txn.get(), CacheDataKey{ordinal, point.zindex},
-                    point.norm);
-  }
+  cache_data_.Put(txn.get(), ordinal, points);
 
   TURBDB_RETURN_NOT_OK(txn_manager_->Commit(txn.get()));
 
@@ -232,17 +230,7 @@ void SemanticCache::DeleteEntryInTxn(Transaction* txn, const CacheInfoKey& key,
   cache_info_.Delete(txn, key);
   cache_slots_.Delete(txn, CacheSlotKey{key.dataset, key.field, key.fd_order,
                                         key.timestep, record.region});
-  std::vector<CacheDataKey> data_keys;
-  data_keys.reserve(record.num_points);
-  cache_data_.Scan(txn, CacheDataKey{key.ordinal, 0},
-                   CacheDataKey{key.ordinal, UINT64_MAX},
-                   [&](const CacheDataKey& data_key, const float&) {
-                     data_keys.push_back(data_key);
-                     return true;
-                   });
-  for (const CacheDataKey& data_key : data_keys) {
-    cache_data_.Delete(txn, data_key);
-  }
+  cache_data_.Delete(txn, key.ordinal);
 }
 
 Status SemanticCache::Evict(const std::string& dataset,

@@ -77,19 +77,10 @@ struct CacheSlotKey {
   }
 };
 
-/// Primary key of the cacheData table; clustered by (ordinal, zindex) so
-/// one entry's points are retrieved with a single range scan.
-struct CacheDataKey {
-  uint64_t ordinal = 0;
-  uint64_t zindex = 0;
-
-  bool operator<(const CacheDataKey& other) const {
-    return std::tie(ordinal, zindex) < std::tie(other.ordinal, other.zindex);
-  }
-  bool operator==(const CacheDataKey& other) const {
-    return ordinal == other.ordinal && zindex == other.zindex;
-  }
-};
+/// One cacheData row: all of an entry's points, z-sorted, keyed by the
+/// entry's ordinal. Rows are immutable once built, so snapshots and
+/// readers share them without copying.
+using CacheDataRow = std::shared_ptr<const std::vector<ThresholdPoint>>;
 
 /// Outcome of a cache interrogation.
 struct CacheLookup {
@@ -111,7 +102,7 @@ struct CacheLookup {
 ///
 /// All reads and updates run in snapshot-isolation transactions, so
 /// concurrent queries never see a cacheInfo row without its cacheData
-/// rows, and never deadlock (the paper relies on SQL Server snapshot
+/// row, and never deadlock (the paper relies on SQL Server snapshot
 /// isolation for the same reasons). Replacement is least-recently-used
 /// across all entries; the LRU clock is kept outside the versioned
 /// tables so that read-only lookups do not create write conflicts.
@@ -173,8 +164,7 @@ class SemanticCache {
 
   Status InsertOnce(const std::string& dataset, const std::string& field,
                     int32_t timestep, int fd_order, const Box3& region,
-                    double threshold,
-                    const std::vector<ThresholdPoint>& points);
+                    double threshold, const CacheDataRow& points);
 
   /// Deletes one entry's rows inside `txn`; caller commits.
   void DeleteEntryInTxn(Transaction* txn, const CacheInfoKey& key,
@@ -187,7 +177,7 @@ class SemanticCache {
   uint64_t capacity_bytes_;
 
   VersionedTable<CacheInfoKey, CacheInfoRecord> cache_info_;
-  VersionedTable<CacheDataKey, float> cache_data_;
+  VersionedTable<uint64_t, CacheDataRow> cache_data_;  ///< By ordinal.
   VersionedTable<CacheSlotKey, uint64_t> cache_slots_;
 
   /// Successful inserts between automatic GC passes.

@@ -1244,6 +1244,7 @@ uint64_t Mediator::generation() const {
 
 std::shared_ptr<const MembershipView> Mediator::ViewSnapshot() const {
   if (membership_ == nullptr) return nullptr;
+  std::shared_lock<std::shared_mutex> routing(routing_mutex_);
   return std::make_shared<const MembershipView>(membership_->Snapshot());
 }
 
@@ -1355,6 +1356,7 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     return copied;
   };
   hooks.cutover = [&](const RangeMove& m) -> Result<uint64_t> {
+    std::unique_lock<std::shared_mutex> routing(routing_mutex_);
     TURBDB_ASSIGN_OR_RETURN(
         const uint64_t new_generation,
         membership_->ApplyOverride(m.begin, m.end, m.to_shard));
@@ -1368,6 +1370,7 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     // of the cluster is updated best-effort right after.
     TURBDB_RETURN_NOT_OK(donor->Cutover(request));
     TURBDB_RETURN_NOT_OK(recipient->Cutover(request));
+    routing.unlock();
     TURBDB_RETURN_NOT_OK(PushMembershipLocked());
     TURBDB_LOG(Info) << "range [" << m.begin << ", " << m.end
                      << ") cut over from shard " << m.from_shard

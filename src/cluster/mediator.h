@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -364,6 +365,7 @@ class Mediator {
                                           int order);
 
   /// Fresh shared snapshot of the membership view; null when !elastic().
+  /// Waits out a cutover in progress (see routing_mutex_).
   std::shared_ptr<const MembershipView> ViewSnapshot() const;
 
   /// The replica group serving `shard`, or an error naming it.
@@ -399,6 +401,13 @@ class Mediator {
   /// mutations (join/leave/rebalance) serialize on membership_mutex_.
   std::unique_ptr<MembershipRegistry> membership_;
   std::mutex membership_mutex_;
+  /// Held shared by ViewSnapshot and exclusively by a cutover from the
+  /// registry's generation bump until donor and recipient have installed
+  /// the new view. A node evaluates under its own view, so a query routed
+  /// under a generation an involved node has not installed yet would miss
+  /// the moved range; one routed under an older generation is fenced by
+  /// the node (kWrongOwner) and re-routed after the cutover.
+  mutable std::shared_mutex routing_mutex_;
 
   /// Runs per-node sub-queries (the asynchronous query scheduling layer).
   std::unique_ptr<ThreadPool> scheduler_;

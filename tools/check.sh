@@ -370,6 +370,8 @@ echo "self-heal drill: ok ($HEAL_JSON)"
 # rebalance cutovers race in-flight scatter-gather queries by design.
 # The scrub/self-heal suites too: the background scrubber and the
 # replica group's read-repair worker run concurrently with live reads.
+# So do the node semantic cache suites: an entry's points are one shared,
+# immutable row that snapshots, readers and GC hold concurrently.
 if [ "$SANITIZE" != "thread" ]; then
   TSAN_DIR="$ROOT/build-tsan"
   cmake -B "$TSAN_DIR" -S "$ROOT" \
@@ -379,6 +381,6 @@ if [ "$SANITIZE" != "thread" ]; then
     -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS"
   ctest --test-dir "$TSAN_DIR" \
-    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|ScrubTest|SelfHealTest" \
+    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|ScrubTest|SelfHealTest|SemanticCacheTest|CachePredicateTest" \
     --output-on-failure --timeout 300
 fi
